@@ -3,8 +3,8 @@
 //! Three executions of the same aggregation are compared on a skewed RMAT
 //! graph (2^16 vertices) and a uniform Erdős–Rényi control:
 //!
-//! * `auto` — `SpmmStrategy::Auto`, which re-derives degree statistics and
-//!   partitions rows by *count* on every call (the PR 1 baseline),
+//! * `auto` — `SpmmStrategy::Auto`, which builds a fresh plan (degree
+//!   scan, NNZ partition, strategy resolution) on every call,
 //! * `planned` — a cached [`SpmmPlan`]: NNZ-balanced row partition and
 //!   strategy resolution paid once, reused every iteration,
 //! * `planned_rcm` — the same plan built on the RCM-reordered graph, so

@@ -37,10 +37,11 @@ const RATES: [f64; 4] = [250.0, 1_000.0, 4_000.0, 16_000.0];
 const REQUESTS: usize = 800;
 /// Vertex cap for the Products twin.
 const TWIN_CAP: usize = 1 << 12;
-/// Model shape: input width, hidden width, layers (= gather hops).
+/// Model shape for `GcnConfig::paper_model`: input, hidden and output
+/// widths. The paper model has three layers, so requests gather 3 hops.
 const F_IN: usize = 64;
 const F_HID: usize = 64;
-const LAYERS: usize = 2;
+const F_OUT: usize = 2;
 
 fn service_config(batched: bool) -> ServiceConfig {
     let cfg = ServiceConfig {
@@ -178,7 +179,7 @@ fn run_cell(
     }
 }
 
-fn write_stats(cells: &[Cell]) {
+fn write_stats(config: &GcnConfig, cells: &[Cell]) {
     // Headline: batched vs per-request goodput at the top rate, and the
     // knee — the lowest swept rate where the ratio first exceeds 1.5x.
     let goodput = |mode: &str, rate: f64| {
@@ -234,10 +235,12 @@ fn write_stats(cells: &[Cell]) {
         )
         .expect("writing to a String cannot fail");
     }
+    let dims: Vec<String> = config.dims.iter().map(usize::to_string).collect();
+    let (dims, layers) = (dims.join(", "), config.num_layers());
     let json = format!(
         "{{\n  \"bench\": \"serving_load\",\n  \"seed\": {BENCH_SEED},\n  \
          \"graph\": \"products_twin\", \"vertices\": {TWIN_CAP}, \
-         \"model\": [{F_IN}, {F_HID}], \"layers\": {LAYERS},\n  \
+         \"dims\": [{dims}], \"layers\": {layers},\n  \
          \"requests_per_cell\": {REQUESTS}, \"latency_budget_ms\": 500,\n  \
          \"batched_speedup_at_top_rate\": {speedup_top:.2},\n  \
          \"knee_rate_rps\": {knee:.0},\n  \
@@ -266,7 +269,8 @@ fn bench_all(c: &mut Criterion) {
             .collect();
         DenseMatrix::from_vec(a.nrows(), F_IN, data).unwrap()
     };
-    let model = GcnModel::new(&GcnConfig::paper_model(F_IN, F_HID, LAYERS), 3);
+    let config = GcnConfig::paper_model(F_IN, F_HID, F_OUT);
+    let model = GcnModel::new(&config, 3);
 
     let mut cells = Vec::new();
     for (mode, batched) in [("per_request", false), ("batched", true)] {
@@ -282,7 +286,7 @@ fn bench_all(c: &mut Criterion) {
             ));
         }
     }
-    write_stats(&cells);
+    write_stats(&config, &cells);
 
     // One interactive criterion datapoint per mode: closed-loop burst of
     // 64 requests (the sweep above is single-shot; open-loop pacing is

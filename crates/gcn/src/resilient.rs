@@ -194,10 +194,7 @@ impl GcnModel {
                 run.stopped = Some(reason);
                 return Ok(run);
             }
-            let mut current = match strategy {
-                SpmmStrategy::Auto => SpmmStrategy::select(a_hat, layer.out_dim()),
-                s => s,
-            };
+            let mut current = strategy.resolve(a_hat, layer.out_dim());
             loop {
                 let (h, next, mid) = workspace.buffers_mut();
                 let outcome = retry::run(policy, || -> Result<(), MatrixError> {
@@ -546,7 +543,7 @@ mod tests {
     #[test]
     fn precision_guard_accepts_every_precision_within_bounds() {
         let (a_hat, x, model) = setup();
-        for p in matrix::Precision::all() {
+        for p in Precision::all() {
             let mut ws = InferenceWorkspace::new();
             let run = model
                 .infer_prec_guarded_with(&a_hat, &x, p, &mut ws)

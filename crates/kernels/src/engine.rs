@@ -2,19 +2,13 @@
 //!
 //! # Automatic selection
 //!
-//! [`SpmmStrategy::Auto`] inspects the operands at run time and picks a
-//! fixed strategy via [`SpmmStrategy::select`]:
-//!
-//! 1. Tiny problems (`nnz * K` below a crossover) or a single-slot pool →
-//!    [`SpmmStrategy::Sequential`] — fan-out overhead would dominate.
-//! 2. Skewed degree distributions (coefficient of variation above
-//!    [`AUTO_SKEW_CV`]) → [`SpmmStrategy::Hybrid`] — hub rows are
-//!    edge-split, the tail stays atomics-free.
-//! 3. Wide embeddings (`K` at least [`AUTO_WIDE_K`] and several columns per
-//!    pool slot) → [`SpmmStrategy::FeatureParallel`] — disjoint column
-//!    tiles amortize the shared CSR reads.
-//! 4. Otherwise → [`SpmmStrategy::VertexParallel`], the paper's CPU
-//!    winner (Section V-A).
+//! [`SpmmStrategy::Auto`] builds a [`SpmmPlan`] for the operands and runs
+//! it, so automatic and planned execution share one decision,
+//! [`SpmmPlan::resolve`]: sequential for tiny problems, the hub-splitting
+//! [`SpmmStrategy::Hybrid`] when hubs defeat the NNZ-balanced partition,
+//! and otherwise NNZ-balanced row ranges — the planned form of
+//! [`SpmmStrategy::VertexParallel`], the paper's CPU winner (Section
+//! V-A) — at every feature width `K`.
 //!
 //! [`SpmmStrategy::EdgeParallel`] is never auto-selected: its per-element
 //! atomic adds only pay off on hardware with cheap remote atomics (PIUMA),
@@ -24,24 +18,12 @@
 //! Whichever strategy is selected, the inner feature accumulation — and,
 //! in a planned layer, the dense `H * W` transform — runs on the SIMD
 //! micro-kernel dispatch ([`matrix::microkernel::KernelDispatch`]);
-//! [`crate::plan::SpmmPlan`] captures that dispatch at plan time so
-//! strategy resolution and backend selection happen together, once.
+//! [`SpmmPlan`] captures that dispatch at plan time so strategy resolution
+//! and backend selection happen together, once.
 
+use crate::plan::SpmmPlan;
 use matrix::{DenseMatrix, MatrixError};
-use sparse::{Csr, DegreeStats};
-
-/// Below this many scalar multiply-adds (`nnz * K`), [`SpmmStrategy::Auto`]
-/// stays sequential: a broadcast costs on the order of microseconds, which
-/// small problems cannot recoup.
-pub const AUTO_SEQUENTIAL_WORK: usize = 1 << 14;
-
-/// Degree coefficient-of-variation above which [`SpmmStrategy::Auto`]
-/// treats the graph as skewed and routes to the hybrid kernel.
-pub const AUTO_SKEW_CV: f64 = 1.5;
-
-/// Minimum embedding width for [`SpmmStrategy::Auto`] to consider the
-/// feature-parallel kernel.
-pub const AUTO_WIDE_K: usize = 256;
+use sparse::Csr;
 
 /// Which SpMM algorithm to run, and with how many threads.
 ///
@@ -73,24 +55,14 @@ pub enum SpmmStrategy {
         /// Number of worker threads.
         threads: usize,
     },
-    /// Sequential cache-blocked kernel processing `tile` feature columns
-    /// per pass (0 means the default tile width).
-    FeatureTiled {
-        /// Feature-tile width in columns; `0` selects the default.
-        tile: usize,
-    },
-    /// Feature-parallel: each worker owns a disjoint K-tile of the output.
-    FeatureParallel {
-        /// Number of worker threads.
-        threads: usize,
-    },
     /// Degree-aware hybrid: hub rows edge-split across workers, tail rows
     /// processed as atomics-free vertex chunks.
     Hybrid {
         /// Number of worker threads.
         threads: usize,
     },
-    /// Pick a fixed strategy per call from the operands (see module docs).
+    /// Plan the operands and run the plan's resolved path (see module
+    /// docs).
     Auto,
 }
 
@@ -130,72 +102,30 @@ impl SpmmStrategy {
             SpmmStrategy::EdgeParallel { threads } => {
                 crate::spmm::spmm_edge_parallel_into(a, h, threads, out)
             }
-            SpmmStrategy::FeatureTiled { tile } => {
-                crate::tiled::spmm_feature_tiled_into(a, h, tile, out)
-            }
-            SpmmStrategy::FeatureParallel { threads } => {
-                crate::tiled::spmm_feature_parallel_into(a, h, threads, out)
-            }
             SpmmStrategy::Hybrid { threads } => crate::hybrid::spmm_hybrid_into(a, h, threads, out),
-            SpmmStrategy::Auto => Self::select(a, h.cols()).run_into(a, h, out),
+            SpmmStrategy::Auto => SpmmPlan::new(a, h.cols()).run_into(a, h, out),
         }
     }
 
-    /// Resolves [`SpmmStrategy::Auto`] for the given operands; fixed
-    /// strategies return themselves. The heuristic is documented in the
-    /// module docs and in `EXPERIMENTS.md`.
-    ///
-    /// This is the *planless* fallback: it re-derives [`DegreeStats`] (an
-    /// `O(n)` scan) on every call. Repeated SpMM against one adjacency
-    /// should build an [`crate::plan::SpmmPlan`] instead, which caches the
-    /// statistics and the resolved path.
-    pub fn select(a: &Csr, k: usize) -> SpmmStrategy {
-        let width = pool::global().width();
-        let (n, nnz) = (a.nrows(), a.nnz());
-        if n == 0 || nnz == 0 || k == 0 || width <= 1 {
-            return SpmmStrategy::Sequential;
+    /// The fixed strategy this one stands for on operands `a` with feature
+    /// width `k`: [`SpmmStrategy::Auto`] becomes the
+    /// [`SpmmPlan::strategy_equivalent`] of a fresh plan (an `O(n)` degree
+    /// scan), every other strategy returns itself. Retry chains use this to
+    /// know which rung `Auto` starts on.
+    pub fn resolve(self, a: &Csr, k: usize) -> SpmmStrategy {
+        match self {
+            SpmmStrategy::Auto => SpmmPlan::new(a, k).strategy_equivalent(),
+            s => s,
         }
-        if nnz.saturating_mul(k) < AUTO_SEQUENTIAL_WORK {
-            return SpmmStrategy::Sequential;
-        }
-        // O(n) degree scan — negligible next to the O(nnz * K) kernel, but
-        // still worth caching across calls (see `SpmmPlan`).
-        Self::select_with_stats(&DegreeStats::of(a), nnz, k, width)
-    }
-
-    /// [`SpmmStrategy::select`] with the degree statistics supplied by the
-    /// caller — the `O(1)` decision shared by the planless path (which
-    /// computes `stats` fresh) and [`crate::plan::SpmmPlan`] (which caches
-    /// them once per graph).
-    pub fn select_with_stats(
-        stats: &DegreeStats,
-        nnz: usize,
-        k: usize,
-        width: usize,
-    ) -> SpmmStrategy {
-        if stats.vertices == 0 || nnz == 0 || k == 0 || width <= 1 {
-            return SpmmStrategy::Sequential;
-        }
-        if nnz.saturating_mul(k) < AUTO_SEQUENTIAL_WORK {
-            return SpmmStrategy::Sequential;
-        }
-        if stats.cv > AUTO_SKEW_CV {
-            return SpmmStrategy::Hybrid { threads: width };
-        }
-        if k >= AUTO_WIDE_K && k >= 4 * width {
-            return SpmmStrategy::FeatureParallel { threads: width };
-        }
-        SpmmStrategy::VertexParallel { threads: width }
     }
 
     /// Thread count this strategy will use (`Auto` reports the pool width
     /// it will hand to whichever kernel it selects).
     pub fn threads(self) -> usize {
         match self {
-            SpmmStrategy::Sequential | SpmmStrategy::FeatureTiled { .. } => 1,
+            SpmmStrategy::Sequential => 1,
             SpmmStrategy::VertexParallel { threads }
             | SpmmStrategy::EdgeParallel { threads }
-            | SpmmStrategy::FeatureParallel { threads }
             | SpmmStrategy::Hybrid { threads } => threads,
             SpmmStrategy::Auto => pool::global().width(),
         }
@@ -205,8 +135,8 @@ impl SpmmStrategy {
 /// Builds an [`SpmmPlan`] for repeated SpMM against `a` with feature
 /// width `k`: degree statistics, the NNZ-balanced row partition, and the
 /// execution path are all computed once, here, instead of per call.
-pub fn plan(a: &Csr, k: usize) -> crate::plan::SpmmPlan {
-    crate::plan::SpmmPlan::new(a, k)
+pub fn plan(a: &Csr, k: usize) -> SpmmPlan {
+    SpmmPlan::new(a, k)
 }
 
 /// [`plan`] at a narrow storage precision: probes the requested precision
@@ -214,12 +144,8 @@ pub fn plan(a: &Csr, k: usize) -> crate::plan::SpmmPlan {
 /// along [`matrix::Precision::fallback`] if the ISA probe fails (the plan
 /// records the downgrade). The planned layer then runs its SpMM feature
 /// loops and packed GEMM panels on narrow storage with `f32` accumulation.
-pub fn plan_with_precision(
-    a: &Csr,
-    k: usize,
-    precision: matrix::Precision,
-) -> crate::plan::SpmmPlan {
-    crate::plan::SpmmPlan::with_precision(a, k, precision)
+pub fn plan_with_precision(a: &Csr, k: usize, precision: matrix::Precision) -> SpmmPlan {
+    SpmmPlan::with_precision(a, k, precision)
 }
 
 /// Runs `out = a * h` along a precomputed plan — the planned counterpart
@@ -232,7 +158,7 @@ pub fn plan_with_precision(
 // lint:allow(L004): pure dispatch — SpmmPlan::run_into opens with
 // check_plan before selecting a kernel.
 pub fn run_planned_into(
-    plan: &crate::plan::SpmmPlan,
+    plan: &SpmmPlan,
     a: &Csr,
     h: &DenseMatrix,
     out: &mut DenseMatrix,
@@ -254,8 +180,6 @@ impl std::fmt::Display for SpmmStrategy {
             SpmmStrategy::Sequential => write!(f, "sequential"),
             SpmmStrategy::VertexParallel { threads } => write!(f, "vertex-parallel x{threads}"),
             SpmmStrategy::EdgeParallel { threads } => write!(f, "edge-parallel x{threads}"),
-            SpmmStrategy::FeatureTiled { tile } => write!(f, "feature-tiled t{tile}"),
-            SpmmStrategy::FeatureParallel { threads } => write!(f, "feature-parallel x{threads}"),
             SpmmStrategy::Hybrid { threads } => write!(f, "hybrid x{threads}"),
             SpmmStrategy::Auto => write!(f, "auto"),
         }
@@ -281,8 +205,6 @@ mod tests {
         for strategy in [
             SpmmStrategy::VertexParallel { threads: 3 },
             SpmmStrategy::EdgeParallel { threads: 3 },
-            SpmmStrategy::FeatureTiled { tile: 1 },
-            SpmmStrategy::FeatureParallel { threads: 2 },
             SpmmStrategy::Hybrid { threads: 3 },
             SpmmStrategy::Auto,
         ] {
@@ -302,24 +224,27 @@ mod tests {
             "edge-parallel x8"
         );
         assert_eq!(
-            SpmmStrategy::FeatureParallel { threads: 4 }.to_string(),
-            "feature-parallel x4"
+            SpmmStrategy::VertexParallel { threads: 4 }.to_string(),
+            "vertex-parallel x4"
         );
         assert_eq!(SpmmStrategy::Hybrid { threads: 2 }.to_string(), "hybrid x2");
         assert_eq!(SpmmStrategy::Auto.to_string(), "auto");
     }
 
     #[test]
-    fn select_goes_sequential_for_tiny_work() {
+    fn auto_resolves_sequential_for_tiny_work() {
         let mut coo = Coo::new(4, 4);
         coo.push(0, 1, 1.0);
         let a = Csr::from_coo(&coo);
-        assert_eq!(SpmmStrategy::select(&a, 8), SpmmStrategy::Sequential);
-        assert_eq!(SpmmStrategy::select(&a, 0), SpmmStrategy::Sequential);
+        assert_eq!(SpmmStrategy::Auto.resolve(&a, 8), SpmmStrategy::Sequential);
+        assert_eq!(SpmmStrategy::Auto.resolve(&a, 0), SpmmStrategy::Sequential);
+        // Fixed strategies stand for themselves.
+        let fixed = SpmmStrategy::EdgeParallel { threads: 3 };
+        assert_eq!(fixed.resolve(&a, 8), fixed);
     }
 
     #[test]
-    fn select_never_picks_edge_parallel() {
+    fn auto_never_resolves_edge_parallel() {
         // Across a spread of shapes, Auto avoids the atomics-heavy kernel
         // (paper: it only wins with hardware-cheap remote atomics).
         let mut rng = StdRng::seed_from_u64(7);
@@ -330,7 +255,7 @@ mod tests {
             }
             let a = Csr::from_coo(&coo);
             for k in [1usize, 16, 300, 1024] {
-                let picked = SpmmStrategy::select(&a, k);
+                let picked = SpmmStrategy::Auto.resolve(&a, k);
                 assert!(
                     !matches!(
                         picked,
@@ -343,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn select_routes_skewed_graphs_to_hybrid_when_pool_is_parallel() {
+    fn auto_routes_hub_graphs_to_hybrid_when_pool_is_parallel() {
         // Star graph: cv is ~sqrt(n), far above any threshold.
         let n = 2048;
         let mut coo = Coo::new(n, n);
@@ -351,7 +276,7 @@ mod tests {
             coo.push(0, v, 1.0);
         }
         let a = Csr::from_coo(&coo);
-        let picked = SpmmStrategy::select(&a, 64);
+        let picked = SpmmStrategy::Auto.resolve(&a, 64);
         if pool::global().width() > 1 {
             assert!(
                 matches!(picked, SpmmStrategy::Hybrid { .. }),
@@ -382,8 +307,6 @@ mod tests {
         for strategy in [
             SpmmStrategy::VertexParallel { threads: 4 },
             SpmmStrategy::EdgeParallel { threads: 4 },
-            SpmmStrategy::FeatureTiled { tile: 4 },
-            SpmmStrategy::FeatureParallel { threads: 4 },
             SpmmStrategy::Hybrid { threads: 4 },
             SpmmStrategy::Auto,
         ] {

@@ -309,7 +309,6 @@ mod tests {
         for strategy in [
             SpmmStrategy::VertexParallel { threads: 4 },
             SpmmStrategy::EdgeParallel { threads: 4 },
-            SpmmStrategy::FeatureParallel { threads: 4 },
             SpmmStrategy::Hybrid { threads: 4 },
             SpmmStrategy::Auto,
         ] {

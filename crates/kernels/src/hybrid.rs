@@ -415,7 +415,7 @@ mod tests {
         }
         let a = Csr::from_coo(&coo);
         let h = random_dense(&mut rng, n, 13);
-        let mut q = matrix::QuantMatrix::new();
+        let mut q = QuantMatrix::new();
         let mut decoded = DenseMatrix::default();
         for p in [
             matrix::Precision::Bf16,

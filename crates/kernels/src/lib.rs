@@ -12,15 +12,15 @@
 //! * [`spmm::spmm_vertex_parallel`] — work-stealing row chunks, no atomics,
 //! * [`spmm::spmm_edge_parallel`] — equal edge shares, binary search for the
 //!   starting row, atomic accumulation into shared output (Algorithm 2),
-//! * [`tiled::spmm_feature_tiled`] / [`tiled::spmm_feature_parallel`] —
-//!   cache blocking and worker-owned tiles over the feature dimension,
 //! * [`hybrid::spmm_hybrid`] — degree-aware hub/tail split for power-law
 //!   graphs,
 //! * [`fused::gcn_layer_fused`] — aggregation + update + activation in one
 //!   call, the building block `gcn` uses,
 //! * [`plan::SpmmPlan`] — a precomputed execution plan (NNZ-balanced row
-//!   partition, cached degree statistics, resolved strategy, column-tile
-//!   schedule) amortizing per-call analysis across layers and epochs.
+//!   partition, cached degree statistics, resolved strategy) amortizing
+//!   per-call analysis across layers and epochs. [`plan::SpmmPlan::resolve`]
+//!   is the one place a strategy is chosen: `SpmmStrategy::Auto` builds a
+//!   plan and runs it, at every feature width.
 //!
 //! All parallel kernels execute on the process-wide persistent thread pool
 //! re-exported as [`pool`] (spawned once on first use, then reused — see
@@ -67,8 +67,6 @@ pub mod plan;
 pub mod resilient;
 /// Baseline sequential and parallel CSR SpMM kernels.
 pub mod spmm;
-/// Cache-blocked (tiled) SpMM over column strips.
-pub mod tiled;
 
 pub use engine::SpmmStrategy;
 pub use plan::SpmmPlan;

@@ -1,18 +1,20 @@
 //! Precomputed, reusable SpMM execution plans.
 //!
-//! Every `SpmmStrategy::Auto` call re-derives degree statistics (an `O(n)`
-//! scan) and partitions rows by *count*, not by *non-zeros* — so a chunk
-//! holding a hub row serializes on one worker while its siblings idle.
-//! [`SpmmPlan`] pays the analysis once per adjacency and reuses it across
-//! every layer and epoch:
+//! Count-chunked vertex parallelism splits rows by *count*, not by
+//! *non-zeros* — so a chunk holding a hub row serializes on one worker
+//! while its siblings idle. [`SpmmPlan`] analyzes the adjacency once and
+//! reuses the analysis across every layer and epoch:
 //!
 //! * an **NNZ-balanced row partition** — slot boundaries found by binary
 //!   search over `row_ptr` so each pool slot owns ~equal non-zeros
 //!   (merge-path style, the workload mapping Accel-GCN identifies as the
 //!   biggest SpMM lever),
-//! * **cached [`DegreeStats`]** and the resolved execution path, so `Auto`
-//!   selection is paid once per graph instead of per call,
-//! * an optional **column-tile schedule** for the feature-parallel path.
+//! * **cached [`DegreeStats`]** and the resolved execution path
+//!   ([`SpmmPlan::resolve`], the crate's only strategy decision), so
+//!   selection is paid once per graph instead of per call.
+//!
+//! `SpmmStrategy::Auto` is a plan built and run per call; callers that
+//! multiply against one adjacency repeatedly keep the plan instead.
 //!
 //! A plan is keyed by a structural fingerprint of the adjacency (shape,
 //! nnz, sampled `row_ptr`/`col_idx` entries), letting callers cache one
@@ -24,13 +26,22 @@ use matrix::{DenseMatrix, MatrixError, Precision, QuantMatrix};
 use parking_lot::Mutex;
 use sparse::{Csr, DegreeStats};
 
-use crate::engine::{SpmmStrategy, AUTO_SEQUENTIAL_WORK, AUTO_SKEW_CV, AUTO_WIDE_K};
+use crate::engine::SpmmStrategy;
 use crate::spmm::{spmm_rows_quant_with, spmm_rows_with};
 
 // BOUNDS: indexing in this module walks partition boundary vectors whose
 // construction guarantees `0 <= p[i] < p[i+1] <= nrows` (see
 // `nnz_balanced_partition`), CSR arrays validated by `Csr::from_coo`, and
 // sampled positions clamped with `.min(len)` in `fingerprint`.
+
+/// Below this many scalar multiply-adds (`nnz * K`), a plan stays
+/// sequential: a broadcast costs on the order of microseconds, which small
+/// problems cannot recoup.
+pub const AUTO_SEQUENTIAL_WORK: usize = 1 << 14;
+
+/// Degree coefficient-of-variation above which a plan treats the graph as
+/// skewed and checks whether its hubs defeat the NNZ-balanced partition.
+pub const AUTO_SKEW_CV: f64 = 1.5;
 
 /// NNZ-balanced slots per pool thread. More slots than threads leaves the
 /// pool's dynamic claiming slack to absorb residual imbalance (a slot that
@@ -126,18 +137,16 @@ pub fn nnz_balanced_partition(row_ptr: &[usize], slots: usize) -> Vec<usize> {
 
 /// The execution path a plan resolved to (the planned analogue of
 /// [`SpmmStrategy`], with `Auto` already decided and vertex-parallel
-/// upgraded to the NNZ-balanced partition).
+/// upgraded to the NNZ-balanced partition). Row parallelism is the only
+/// parallel mapping at every feature width: column-tiled kernels lost to
+/// the NNZ partition on every Table-I twin measured (EXPERIMENTS.md,
+/// "Wide-K strategy evidence").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannedExec {
     /// Single-threaded: the problem is too small to fan out.
     Sequential,
     /// NNZ-balanced row ranges on the persistent pool, no atomics.
     NnzBalanced {
-        /// Number of worker threads.
-        threads: usize,
-    },
-    /// Worker-owned column tiles (the wide-K regime).
-    FeatureParallel {
         /// Number of worker threads.
         threads: usize,
     },
@@ -154,7 +163,6 @@ impl std::fmt::Display for PlannedExec {
         match self {
             PlannedExec::Sequential => write!(f, "sequential"),
             PlannedExec::NnzBalanced { threads } => write!(f, "nnz-balanced x{threads}"),
-            PlannedExec::FeatureParallel { threads } => write!(f, "feature-parallel x{threads}"),
             PlannedExec::Hybrid { threads } => write!(f, "hybrid x{threads}"),
         }
     }
@@ -195,9 +203,6 @@ pub struct SpmmPlan {
     partition: Vec<usize>,
     plan_stats: PlanStats,
     exec: PlannedExec,
-    /// Column tile schedule `[t0, t1)` for the feature-parallel path;
-    /// empty unless `exec` is `FeatureParallel`.
-    tiles: Vec<(usize, usize)>,
     /// Micro-kernel backend captured at plan time: the sparse row loops and
     /// the layer's dense transform both run this dispatch, so one plan
     /// fixes the whole layer's SIMD path.
@@ -254,21 +259,23 @@ impl SpmmPlan {
             partition,
             plan_stats,
             exec: PlannedExec::Sequential,
-            // lint:allow(L005): plan construction, paid once per adjacency.
-            tiles: Vec::new(),
             kernel: KernelDispatch::get(),
             precision: Precision::F32,
             precision_fallback: None,
         };
         plan.exec = plan.resolve(k, width);
-        if let PlannedExec::FeatureParallel { threads } = plan.exec {
-            plan.tiles = column_tiles(k, threads);
-        }
         plan
     }
 
     /// Resolves the execution path for feature width `k` from the cached
-    /// statistics. `O(1)`: no matrix scan.
+    /// statistics. `O(1)`: no matrix scan. This is the only place a SpMM
+    /// strategy is chosen (`SpmmStrategy::Auto` runs a plan):
+    ///
+    /// 1. no work, or `nnz * k` below [`AUTO_SEQUENTIAL_WORK`], or a
+    ///    single-slot pool → [`PlannedExec::Sequential`];
+    /// 2. degree cv above [`AUTO_SKEW_CV`] *and* partition imbalance above
+    ///    [`PLAN_MAX_IMBALANCE`] → [`PlannedExec::Hybrid`];
+    /// 3. otherwise → [`PlannedExec::NnzBalanced`], at every `k`.
     pub fn resolve(&self, k: usize, width: usize) -> PlannedExec {
         if self.nrows == 0 || self.nnz == 0 || k == 0 || width <= 1 {
             return PlannedExec::Sequential;
@@ -282,9 +289,6 @@ impl SpmmPlan {
         // chunked-by-count vertex kernel.
         if self.stats.cv > AUTO_SKEW_CV && self.plan_stats.imbalance > PLAN_MAX_IMBALANCE {
             return PlannedExec::Hybrid { threads: width };
-        }
-        if k >= AUTO_WIDE_K && k >= 4 * width {
-            return PlannedExec::FeatureParallel { threads: width };
         }
         PlannedExec::NnzBalanced { threads: width }
     }
@@ -326,12 +330,6 @@ impl SpmmPlan {
     /// The NNZ-balanced row boundaries (`slots + 1` entries).
     pub fn partition(&self) -> &[usize] {
         &self.partition
-    }
-
-    /// The column-tile schedule (empty unless the feature path was
-    /// resolved).
-    pub fn tiles(&self) -> &[(usize, usize)] {
-        &self.tiles
     }
 
     /// The micro-kernel backend resolved at plan time. The planned GCN
@@ -392,13 +390,6 @@ impl SpmmPlan {
             PlannedExec::NnzBalanced { threads } => {
                 spmm_nnz_balanced_with(self.kernel, a, h, &self.partition, threads, out)
             }
-            PlannedExec::FeatureParallel { threads } => {
-                if k == self.k && !self.tiles.is_empty() {
-                    crate::tiled::spmm_feature_planned_into(a, h, &self.tiles, threads, out)
-                } else {
-                    crate::tiled::spmm_feature_parallel_into(a, h, threads, out)
-                }
-            }
             PlannedExec::Hybrid { threads } => crate::hybrid::spmm_hybrid_into(a, h, threads, out),
         }
     }
@@ -407,10 +398,7 @@ impl SpmmPlan {
     /// feature operand from narrow storage (bf16 / f16 / int8) and
     /// accumulating in `f32`.
     ///
-    /// Row-parallel paths reuse the plan's NNZ-balanced partition. The
-    /// feature-parallel resolution also runs on the row partition here:
-    /// column tiling exists to shrink the per-pass feature working set,
-    /// which narrow storage already does by 2-4x at the source.
+    /// Row-parallel paths reuse the plan's NNZ-balanced partition.
     ///
     /// # Errors
     ///
@@ -432,7 +420,7 @@ impl SpmmPlan {
         };
         match exec {
             PlannedExec::Sequential => crate::spmm::spmm_sequential_quant_into(a, hq, out),
-            PlannedExec::NnzBalanced { threads } | PlannedExec::FeatureParallel { threads } => {
+            PlannedExec::NnzBalanced { threads } => {
                 spmm_nnz_balanced_quant_with(self.kernel, a, hq, &self.partition, threads, out)
             }
             PlannedExec::Hybrid { threads } => {
@@ -461,7 +449,6 @@ impl SpmmPlan {
         match self.exec {
             PlannedExec::Sequential => SpmmStrategy::Sequential,
             PlannedExec::NnzBalanced { threads } => SpmmStrategy::VertexParallel { threads },
-            PlannedExec::FeatureParallel { threads } => SpmmStrategy::FeatureParallel { threads },
             PlannedExec::Hybrid { threads } => SpmmStrategy::Hybrid { threads },
         }
     }
@@ -494,21 +481,6 @@ pub fn fingerprint(a: &Csr) -> u64 {
         }
     }
     h
-}
-
-/// Evenly splits `k` columns into one tile per thread (the schedule the
-/// feature-parallel kernel derives per call, precomputed here).
-fn column_tiles(k: usize, threads: usize) -> Vec<(usize, usize)> {
-    if k == 0 {
-        // lint:allow(L005): plan construction, paid once per adjacency.
-        return Vec::new();
-    }
-    let executors = threads.min(k).max(1);
-    let tile = k.div_ceil(executors);
-    (0..k.div_ceil(tile))
-        .map(|t| (t * tile, ((t + 1) * tile).min(k)))
-        // lint:allow(L005): plan construction, paid once per adjacency.
-        .collect()
 }
 
 /// SpMM over precomputed NNZ-balanced row ranges: each pool share owns one
@@ -818,24 +790,31 @@ mod tests {
     }
 
     #[test]
-    fn wide_k_resolves_feature_parallel_with_tiles() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let a = random_csr(&mut rng, 512, 4000);
-        let plan = SpmmPlan::with_width(&a, 1024, 8);
-        assert!(
-            matches!(plan.exec(), PlannedExec::FeatureParallel { .. }),
-            "got {}",
-            plan.exec()
-        );
-        // Tiles cover 0..k exactly once, in order.
-        let tiles = plan.tiles();
-        assert!(!tiles.is_empty());
-        assert_eq!(tiles[0].0, 0);
-        assert_eq!(tiles.last().unwrap().1, 1024);
-        assert!(tiles.windows(2).all(|w| w[0].1 == w[1].0));
-        let h = random_dense(&mut rng, 512, 1024);
-        let reference = spmm_sequential(&a, &h).unwrap();
-        assert!(reference.max_abs_diff(&plan.run(&a, &h).unwrap()) < 1e-3);
+    fn wide_k_products_twin_resolves_nnz_balanced() {
+        // The paper's wide-K point on the products Table-I twin (2^14
+        // vertices, power-law). Row parallelism over the NNZ partition
+        // wins here at every K measured, so widening the features must not
+        // move the plan off it.
+        let g = graph::OgbDataset::Products.materialize_scaled(1 << 14, 10);
+        let a = g.normalized_adjacency().unwrap();
+        for k in [256usize, 1024] {
+            let h = g.random_features(k, 11);
+            let reference = spmm_sequential(&a, &h).unwrap();
+            for width in [2usize, 8] {
+                let plan = SpmmPlan::with_width(&a, k, width);
+                assert_eq!(
+                    plan.exec(),
+                    PlannedExec::NnzBalanced { threads: width },
+                    "k={k} width={width}"
+                );
+                let got = plan.run(&a, &h).unwrap();
+                assert!(
+                    reference.max_abs_diff(&got) < 1e-3,
+                    "k={k} width={width} diverged by {}",
+                    reference.max_abs_diff(&got)
+                );
+            }
+        }
     }
 
     #[test]
@@ -932,7 +911,7 @@ mod tests {
         for w in bounds.windows(2) {
             let slot_nnz = row_ptr[w[1]] - row_ptr[w[0]];
             assert!(
-                slot_nnz <= budget + max_row - 1,
+                slot_nnz < budget + max_row,
                 "slot {w:?} holds {slot_nnz} nnz, over the documented bound"
             );
         }

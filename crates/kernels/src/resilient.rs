@@ -3,8 +3,7 @@
 //! A resilient run executes a kernel under [`resilience::retry`] (panics
 //! become caught failures, attempts are bounded with backoff) and, when a
 //! strategy keeps failing, walks a degradation chain toward simpler
-//! kernels: Hybrid / EdgeParallel / FeatureParallel → VertexParallel →
-//! Sequential. The sequential kernel touches no pool, no atomics, and no
+//! kernels: Hybrid / EdgeParallel → VertexParallel → Sequential. The sequential kernel touches no pool, no atomics, and no
 //! scratch arena, so it is the last resort that a single surviving thread
 //! can always execute. Every recovery and fallback is recorded in an
 //! [`ExecutionReport`] so callers (and chaos tests) can see exactly how a
@@ -95,14 +94,10 @@ impl ExecutionReport {
 /// the chain.
 pub fn fallback_of(s: SpmmStrategy) -> Option<SpmmStrategy> {
     match s {
-        SpmmStrategy::Hybrid { threads }
-        | SpmmStrategy::EdgeParallel { threads }
-        | SpmmStrategy::FeatureParallel { threads } => {
+        SpmmStrategy::Hybrid { threads } | SpmmStrategy::EdgeParallel { threads } => {
             Some(SpmmStrategy::VertexParallel { threads })
         }
-        SpmmStrategy::VertexParallel { .. } | SpmmStrategy::FeatureTiled { .. } => {
-            Some(SpmmStrategy::Sequential)
-        }
+        SpmmStrategy::VertexParallel { .. } => Some(SpmmStrategy::Sequential),
         SpmmStrategy::Sequential => None,
         SpmmStrategy::Auto => Some(SpmmStrategy::Sequential),
     }
@@ -150,10 +145,7 @@ pub fn run_resilient_into(
 ) -> Result<ExecutionReport, MatrixError> {
     crate::spmm::check("run_resilient_into", a, h)?;
     let mut report = ExecutionReport::new();
-    let mut current = match strategy {
-        SpmmStrategy::Auto => SpmmStrategy::select(a, h.cols()),
-        s => s,
-    };
+    let mut current = strategy.resolve(a, h.cols());
     loop {
         let outcome = retry::run(policy, || -> Result<(), MatrixError> {
             // Typed-error injection site for the whole execution path; the
@@ -267,6 +259,27 @@ mod tests {
         let h = DenseMatrix::from_vec(n, 8, data).unwrap();
         let expected = SpmmStrategy::Sequential.run(&a, &h).unwrap();
         (a, h, expected)
+    }
+
+    #[test]
+    fn every_fallback_chain_ends_at_sequential() {
+        for start in [
+            SpmmStrategy::Hybrid { threads: 4 },
+            SpmmStrategy::EdgeParallel { threads: 4 },
+            SpmmStrategy::VertexParallel { threads: 4 },
+            SpmmStrategy::Auto,
+        ] {
+            let mut chain = vec![start];
+            while let Some(next) = fallback_of(*chain.last().unwrap()) {
+                chain.push(next);
+            }
+            assert!(chain.len() <= 3, "{start}: {chain:?}");
+            assert_eq!(chain.last(), Some(&SpmmStrategy::Sequential), "{start}");
+        }
+        assert_eq!(
+            fallback_of(SpmmStrategy::Hybrid { threads: 4 }),
+            Some(SpmmStrategy::VertexParallel { threads: 4 })
+        );
     }
 
     #[test]

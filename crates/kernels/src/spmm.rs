@@ -231,59 +231,6 @@ pub fn spmm_vertex_parallel_into(
     Ok(())
 }
 
-/// Spawn-per-call vertex-parallel baseline: same chunking as
-/// [`spmm_vertex_parallel`] but creating fresh scoped threads on every
-/// invocation. Kept public so the `pool_overhead` benchmark can measure
-/// what the persistent pool saves; production call sites all go through
-/// the pooled kernel.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_vertex_parallel_spawn(
-    a: &Csr,
-    h: &DenseMatrix,
-    threads: usize,
-) -> Result<DenseMatrix, MatrixError> {
-    check("spmm_vertex_parallel", a, h)?;
-    if threads == 0 {
-        return Err(MatrixError::ZeroThreads);
-    }
-    let n = a.nrows();
-    let k = h.cols();
-    if threads == 1 || n == 0 || k == 0 {
-        return spmm_sequential(a, h);
-    }
-    let mut out = DenseMatrix::zeros(n, k);
-
-    // lint:allow(L005): spawn-per-call baseline exists to measure exactly
-    // this kind of per-invocation cost; it is not on the steady-state path.
-    let mut work: Vec<(usize, &mut [f32])> = Vec::with_capacity(n.div_ceil(VERTEX_CHUNK));
-    for (i, slice) in out.as_mut_slice().chunks_mut(VERTEX_CHUNK * k).enumerate() {
-        work.push((i * VERTEX_CHUNK, slice));
-    }
-    work.reverse(); // pop() hands chunks out in ascending row order
-    let queue = Mutex::new(work);
-
-    // lint:allow(L002): deliberate spawn-per-call baseline kept so the
-    // pool_overhead benchmark can quantify what the persistent pool saves.
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|_| loop {
-                let item = queue.lock().pop();
-                let Some((first_row, slice)) = item else {
-                    break;
-                };
-                let rows_here = slice.len() / k;
-                spmm_rows(a, h, slice, first_row, first_row + rows_here, k);
-            });
-        }
-    })
-    .expect("spmm worker panicked");
-    Ok(out)
-}
-
 /// Edge-parallel SpMM (Algorithm 2 of the paper).
 ///
 /// The `|E|` non-zeros are split into equal shares. Each pool worker
@@ -466,11 +413,6 @@ mod tests {
                 reference.max_abs_diff(&got) < 1e-4,
                 "threads={threads} diverged"
             );
-            let spawned = spmm_vertex_parallel_spawn(&a, &h, threads).unwrap();
-            assert!(
-                reference.max_abs_diff(&spawned) < 1e-4,
-                "spawn threads={threads} diverged"
-            );
         }
     }
 
@@ -524,7 +466,6 @@ mod tests {
         let h = DenseMatrix::zeros(5, 2);
         assert!(spmm_sequential(&a, &h).is_err());
         assert!(spmm_vertex_parallel(&a, &h, 2).is_err());
-        assert!(spmm_vertex_parallel_spawn(&a, &h, 2).is_err());
         assert!(spmm_edge_parallel(&a, &h, 2).is_err());
     }
 
@@ -555,8 +496,6 @@ mod tests {
             assert_eq!(v.shape(), (100, 0));
             let e = spmm_edge_parallel(&a, &h, threads).unwrap();
             assert_eq!(e.shape(), (100, 0));
-            let s = spmm_vertex_parallel_spawn(&a, &h, threads).unwrap();
-            assert_eq!(s.shape(), (100, 0));
         }
     }
 
@@ -608,16 +547,15 @@ mod tests {
     #[test]
     fn atomic_add_accumulates_under_contention() {
         let cell = AtomicU32::new(0f32.to_bits());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     for _ in 0..1000 {
                         atomic_add_f32(&cell, 1.0);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(f32::from_bits(cell.into_inner()), 8000.0);
     }
 

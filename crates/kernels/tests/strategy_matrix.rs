@@ -36,9 +36,7 @@ fn every_strategy_matches_sequential_across_graphs_threads_and_widths() {
                 let strategies = [
                     SpmmStrategy::VertexParallel { threads },
                     SpmmStrategy::EdgeParallel { threads },
-                    SpmmStrategy::FeatureParallel { threads },
                     SpmmStrategy::Hybrid { threads },
-                    SpmmStrategy::FeatureTiled { tile: threads * 3 },
                 ];
                 for strategy in strategies {
                     let got = strategy.run(&a_hat, &h).unwrap();
@@ -54,7 +52,7 @@ fn every_strategy_matches_sequential_across_graphs_threads_and_widths() {
             assert!(
                 reference.max_abs_diff(&got) < 1e-3,
                 "{name} k={k} auto ({}) diverged",
-                SpmmStrategy::select(&a_hat, k)
+                SpmmStrategy::Auto.resolve(&a_hat, k)
             );
         }
     }

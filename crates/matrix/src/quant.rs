@@ -382,8 +382,7 @@ impl QuantMatrix {
         self.row_range(r, 0, self.cols)
     }
 
-    /// Borrowed view of columns `[c0, c1)` of row `r` — the feature-tiled
-    /// kernels slice rows to their active tile.
+    /// Borrowed view of columns `[c0, c1)` of row `r`.
     #[inline]
     pub fn row_range(&self, r: usize, c0: usize, c1: usize) -> QuantRow<'_> {
         let base = r * self.cols;

@@ -113,8 +113,8 @@ fn exchange_retry_replay_is_clean() {
         let buffers: Vec<MCell<u64>> = (0..2).map(|_| th.cell("stage-buffer", 0u64)).collect();
 
         let mut joins = Vec::new();
-        for i in 0..2 {
-            let (buf, counters, mx) = (buffers[i].clone(), counters.clone(), mx);
+        for (i, buf) in buffers.iter().enumerate() {
+            let (buf, counters, mx) = (buf.clone(), counters.clone(), mx);
             joins.push(th.spawn(move |th| {
                 let mut attempts = 0u64;
                 loop {

@@ -540,8 +540,10 @@ mod tests {
 
     #[test]
     fn tally_classification_and_json_render() {
-        let mut t = Tally::default();
-        t.submitted = 5;
+        let mut t = Tally {
+            submitted: 5,
+            ..Tally::default()
+        };
         t.absorb_ok(true, false);
         t.absorb_ok(true, true);
         t.absorb_ok(false, false);

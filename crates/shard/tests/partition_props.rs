@@ -42,7 +42,7 @@ fn decode(plan: &ShardPlan) -> Vec<(usize, usize, f32)> {
             }
         }
     }
-    entries.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    entries.sort_by_key(|e| (e.0, e.1));
     entries
 }
 

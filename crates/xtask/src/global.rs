@@ -308,7 +308,8 @@ fn l011_locks(
 
     // Lock-order discipline: per-crate acquisition graph over lock names.
     // witness: (file, line) of the second acquisition that created the edge.
-    let mut edges: BTreeMap<String, BTreeMap<(String, String), (String, usize)>> = BTreeMap::new();
+    type Witness = (String, usize);
+    let mut edges: BTreeMap<String, BTreeMap<(String, String), Witness>> = BTreeMap::new();
     for (caller, f) in ws.fns().iter().enumerate() {
         let _ = caller;
         if f.is_test {
@@ -470,10 +471,7 @@ fn normalize_lock_expr(expr: &str) -> Option<String> {
             .take_while(|c| c.is_alphanumeric() || *c == '_')
             .collect()
     };
-    let name = e
-        .rsplit('.')
-        .map(|seg| ident_prefix(seg))
-        .find(|n| !n.is_empty())?;
+    let name = e.rsplit('.').map(ident_prefix).find(|n| !n.is_empty())?;
     (!name.is_empty() && !name.chars().next().is_some_and(|c| c.is_ascii_digit())).then_some(name)
 }
 
@@ -568,7 +566,7 @@ fn l012_exchange(
                         if !cfg.exchange_buffers.iter().any(|b| b == &buf) {
                             continue;
                         }
-                        if !covered_from.is_some_and(|c| c <= line) {
+                        if covered_from.is_none_or(|c| c > line) {
                             push(Diagnostic::new(
                                 "L012",
                                 path,

@@ -573,12 +573,9 @@ fn signature_end(code: &str, at: usize) -> Option<SigEnd> {
     while i < bytes.len() {
         match bytes[i] {
             b'<' => angle += 1,
-            b'>' => {
-                // `->` is not a generic close.
-                if i == 0 || bytes[i - 1] != b'-' {
-                    angle = (angle - 1).max(0);
-                }
-            }
+            // `->` is not a generic close.
+            b'>' if i == 0 || bytes[i - 1] != b'-' => angle = (angle - 1).max(0),
+            b'>' => {}
             b'(' => paren += 1,
             b')' => paren -= 1,
             b'{' if angle == 0 && paren == 0 => return Some(SigEnd::Body(i)),

@@ -29,7 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for strategy in [
         SpmmStrategy::VertexParallel { threads: 4 },
         SpmmStrategy::EdgeParallel { threads: 4 },
-        SpmmStrategy::FeatureParallel { threads: 4 },
         SpmmStrategy::Hybrid { threads: 4 },
         SpmmStrategy::Auto,
     ] {
@@ -41,11 +40,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             reference.max_abs_diff(&out)
         );
     }
-    println!(
-        "auto resolves to `{}` for this graph at K=32 (pool width {})",
-        SpmmStrategy::select(&g.normalized_adjacency()?, 32),
-        kernels::pool::global().width()
-    );
+    // Auto runs a plan; its resolution is the same row-parallel path at
+    // the paper's narrow and wide embedding widths.
+    let a_hat = g.normalized_adjacency()?;
+    for k in [32, 300] {
+        println!(
+            "auto runs `{}` for this graph at K={k} (pool width {})",
+            SpmmPlan::new(&a_hat, k).exec(),
+            kernels::pool::global().width()
+        );
+    }
 
     // 4. Simulate the aggregation kernel on PIUMA: DMA vs loop-unrolled.
     for cores in [1usize, 4, 8] {

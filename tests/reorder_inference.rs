@@ -62,7 +62,7 @@ fn reordered_planned_inference_matches_native() {
 fn planned_inference_matches_auto_across_widths() {
     let graph = Graph::rmat(&RmatConfig::power_law(8, 8), 77);
     let a_hat = graph.normalized_adjacency().unwrap();
-    // Layer widths straddling the wide-K threshold exercise per-layer
+    // Layer widths that differ from the plan's K hint exercise per-layer
     // strategy re-resolution from the cached statistics.
     for k in [8usize, 64] {
         let model = GcnModel::new(&GcnConfig::paper_model(k, 4 * k, 4), 3);
