@@ -346,17 +346,23 @@ fn chaos_faults_surface_as_typed_rejections() {
     );
 }
 
-/// Killing the service mid-flight (queue loaded, lanes busy) resolves
-/// every handle with a typed rejection or a completed response — no
-/// hangs, no lost requests.
+/// Killing the service mid-flight (queue loaded, the lane holding a batch
+/// open) resolves every handle with a typed rejection or a completed
+/// response — no hangs, no lost requests.
+///
+/// The single lane's batch cap exceeds the 200 submitted requests and its
+/// batching window outlasts the test, so the window cannot close before
+/// `kill()`: the queue is still loaded when the kill lands, however fast
+/// inference runs.
 #[test]
 fn chaos_kill_mid_flight_rejects_typed() {
     let a = twin(OgbDataset::Products);
     let n = a.nrows();
     let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 16]), 7);
     let x = features(n, 16, 5);
-    let mut cfg = batched_config(4, 5_000, 1);
+    let mut cfg = batched_config(256, 3_600_000_000, 1);
     cfg.queue_limit = 1024;
+    cfg.latency_budget = Duration::from_secs(7_200);
     let svc = GcnService::planned(model, a, x, cfg).expect("service starts");
 
     let handles: Vec<_> = (0..200)
